@@ -26,6 +26,7 @@ from .hashing import (
     canonical_keys,
     derive_seed,
     fingerprint,
+    first_invalid_key,
     mix,
     mix_array,
     splitmix64,
@@ -55,6 +56,7 @@ __all__ = [
     "counter_bits_for",
     "derive_seed",
     "fingerprint",
+    "first_invalid_key",
     "mix",
     "mix_array",
     "split_budget",

@@ -20,7 +20,11 @@ Two call styles are supported everywhere:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence, Union
+import operator
+from array import array
+from typing import (
+    Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -77,10 +81,12 @@ def _chunked_bytes_v2(data: bytes) -> int:
 def canonical_key(item: ItemKey) -> int:
     """Map an item identifier to a canonical unsigned 64-bit integer.
 
-    Integers are masked to 64 bits; strings are UTF-8 encoded and byte
-    strings are hashed with the chunked FNV/splitmix fold (versioned via
-    :data:`HASH_VERSION`).  The mapping is deterministic across processes,
-    unlike the built-in ``hash``.
+    Integers (anything with ``__index__``: ``int``, ``bool``, numpy
+    integer scalars) are masked to 64 bits; strings are UTF-8 encoded and
+    byte strings are hashed with the chunked FNV/splitmix fold (versioned
+    via :data:`HASH_VERSION`).  Anything else raises :class:`TypeError`.
+    The mapping is deterministic across processes, unlike the built-in
+    ``hash``.
     """
     if isinstance(item, int):
         return item & MASK64
@@ -88,7 +94,12 @@ def canonical_key(item: ItemKey) -> int:
         item = item.encode("utf-8")
     if isinstance(item, bytes):
         return _chunked_bytes_v2(item)
-    raise TypeError(f"unsupported item key type: {type(item).__name__}")
+    try:
+        return operator.index(item) & MASK64
+    except TypeError:
+        raise TypeError(
+            f"unsupported item key type: {type(item).__name__}"
+        ) from None
 
 
 def canonical_keys(
@@ -96,24 +107,142 @@ def canonical_keys(
 ) -> np.ndarray:
     """Canonicalize a whole batch of item identifiers to ``uint64``.
 
-    The columnar counterpart of :func:`canonical_key`: integer sequences
-    and arrays convert in one vectorized pass (two's-complement wrapping of
-    signed dtypes matches the scalar ``& MASK64``); anything else — mixed
-    types, strings, out-of-range Python ints — falls back to the scalar
-    function per element, so the result always agrees with it.
+    The columnar counterpart of :func:`canonical_key`, equal to
+    ``[canonical_key(x) for x in items]`` element for element (or raising
+    the same exception).  It dispatches on the items' Python types, never
+    on what numpy can parse, so numeric strings stay strings:
+
+    * integer arrays convert in one vectorized pass (two's-complement
+      wrapping of signed dtypes matches the scalar ``& MASK64``), and so
+      do integer lists in ``[0, 2**64)``;
+    * lists of ``str``/``bytes`` run the v2 fold across rows at once
+      (:func:`_fold_rows`), in memory proportional to their total bytes;
+    * anything else — mixed types, out-of-range ints — goes through the
+      scalar function per element.
     """
     if isinstance(items, np.ndarray):
         if items.dtype == np.uint64:
             return items
         if np.issubdtype(items.dtype, np.integer):
             return items.astype(np.uint64)
-    else:
+        items = items.tolist() if items.dtype.kind in "SU" else list(items)
+    elif not isinstance(items, (list, tuple)):
+        items = list(items)
+    try:
+        # array("Q") takes exactly the __index__ types canonical_key
+        # treats as integers, and rejects str, bytes and floats
+        return np.frombuffer(array("Q", items), dtype=np.uint64)
+    except OverflowError:  # a negative or >= 2**64 int: mask per element
+        pass
+    except TypeError:
+        kinds = set(map(type, items))
+        if kinds <= {str, bytes}:
+            return _fold_rows(*_pack_rows(items, kinds))
+    return np.array([canonical_key(item) for item in items],
+                    dtype=np.uint64)
+
+
+def first_invalid_key(items: Sequence[Any]) -> Optional[int]:
+    """Index of the first item :func:`canonical_key` rejects, else ``None``.
+
+    The edge check for untrusted batches (the service's ``/ingest``): a
+    batch it passes canonicalizes without error.  Plain ``int``/``bool``/
+    ``str``/``bytes`` batches are checked by type in one pass (strings
+    must also encode to UTF-8, which rules out lone surrogates); other
+    types are tried item by item.
+    """
+    kinds = set(map(type, items))
+    if kinds <= {int, bool, bytes}:
+        return None
+    if kinds <= {int, bool, str, bytes}:
+        texts = items if kinds == {str} else \
+            [item for item in items if type(item) is str]
         try:
-            return np.asarray(items, dtype=np.uint64)
-        except (TypeError, ValueError, OverflowError):
+            "".join(texts).encode("utf-8")
+            return None
+        except UnicodeEncodeError:
             pass
-    values = [canonical_key(item) for item in items]
-    return np.array(values, dtype=np.uint64)
+    for index, item in enumerate(items):
+        try:
+            canonical_key(item)
+        except (TypeError, UnicodeEncodeError):
+            return index
+    return None
+
+
+def _pack_rows(items: Sequence[Union[str, bytes]],
+               kinds: Set[type]) -> Tuple[bytes, np.ndarray]:
+    """UTF-8 encode a str/bytes batch into one buffer plus row lengths."""
+    n = len(items)
+    if kinds == {str}:
+        joined = "".join(items)
+        if joined.isascii():  # one byte per character: lengths carry over
+            return (joined.encode("ascii"),
+                    np.fromiter(map(len, items), dtype=np.int64, count=n))
+        items = [item.encode("utf-8") for item in items]
+    elif kinds != {bytes}:
+        items = [item.encode("utf-8") if type(item) is str else item
+                 for item in items]
+    return (b"".join(items),
+            np.fromiter(map(len, items), dtype=np.int64, count=n))
+
+
+#: The column loop of :func:`_fold_rows` runs for at most
+#: ``max(_MIN_COLUMNS, chunks of the _WIDE-th longest row)`` columns; the
+#: few rows longer than that take the scalar loop, so one long key cannot
+#: stretch the column loop over rows that finished long before.
+_WIDE = 32
+_MIN_COLUMNS = 16
+
+
+def _fold_rows(data: bytes, lens: np.ndarray) -> np.ndarray:
+    """:func:`_chunked_bytes_v2` of every row of ``data``, as ``uint64``.
+
+    Row ``i`` is the next ``lens[i]`` bytes of ``data``.  Its 8-byte
+    little-endian chunks (the last one zero-padded) are read straight out
+    of ``data`` through an unaligned ``uint64`` view, so the whole batch
+    costs O(total bytes) memory — never rows x longest row.  Rows are
+    ranked by chunk count, and column ``j`` folds chunk ``j`` into the
+    ranked prefix of rows that have one: ``(v ^ chunk) * FNV_PRIME``,
+    wrapping in ``uint64`` exactly as the masked Python ints do.
+    """
+    n = lens.size
+    out = np.empty(n, dtype=np.uint64)
+    if not n:
+        return out
+    starts = np.cumsum(lens) - lens
+    counts = (lens + 7) >> 3
+    order = np.argsort(-counts, kind="stable")
+    ranked = counts[order]
+    width = min(int(ranked[0]),
+                max(int(ranked[min(_WIDE, n - 1)]), _MIN_COLUMNS))
+    wide = int(np.count_nonzero(ranked > width))
+    for row in order[:wide].tolist():
+        start = int(starts[row])
+        out[row] = _chunked_bytes_v2(data[start:start + int(lens[row])])
+    rows, counts = order[wide:], ranked[wide:]
+    lens = lens[rows]
+    firsts = np.cumsum(counts) - counts
+    total = int(firsts[-1] + counts[-1])
+    # byte offset of every chunk, row by row (unaligned uint64 reads;
+    # eight zero bytes of padding keep the last one in bounds)
+    offsets = np.repeat(starts[rows] - 8 * firsts, counts)
+    offsets += np.arange(0, 8 * total, 8, dtype=np.int64)
+    words = np.ndarray((len(data) + 1,), dtype="<u8",
+                       buffer=data + bytes(8), strides=(1,))
+    chunks = words[offsets].astype(np.uint64, copy=False)
+    has = counts > 0
+    tail_bytes = (lens - 8 * counts + 8)[has].astype(np.uint64)
+    chunks[(firsts + counts - 1)[has]] &= \
+        np.uint64(MASK64) >> (np.uint64(64) - 8 * tail_bytes)
+    value = np.uint64(_FNV_OFFSET) ^ lens.astype(np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    live = counts.size - np.searchsorted(
+        counts[::-1], np.arange(width), side="right")
+    for column, k in enumerate(live.tolist()):
+        value[:k] = (value[:k] ^ chunks[firsts[:k] + column]) * prime
+    out[rows] = _splitmix_rounds(value)
+    return out
 
 
 def splitmix64(x: int) -> int:

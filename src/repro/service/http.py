@@ -203,7 +203,7 @@ class ServiceServer:
             return await service.ingest(name, payload.get("items"))
         if action == "window":
             return await service.end_window(
-                name, int(payload.get("count", 1))
+                name, _number(payload, "count", 1, int)
             )
         if action == "checkpoint":
             return await service.checkpoint_tenant(name)
@@ -218,11 +218,11 @@ class ServiceServer:
             return service.explain(name, payload["key"])
         if action == "report":
             return service.report(
-                name, int(payload.get("threshold", 1))
+                name, _number(payload, "threshold", 1, int)
             )
         if action == "find-persistent":
             return service.find_persistent(
-                name, float(payload.get("alpha", 0.5))
+                name, _number(payload, "alpha", 0.5, float)
             )
         raise _HttpError(404, f"no route for {path}")
 
@@ -254,7 +254,12 @@ async def _read_request(
             continue
         key, _, value = line.partition(":")
         headers[key.strip().lower()] = value.strip().lower()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    # 1*DIGIT only: int() would also take "-5", "+5", "1_0" and non-ASCII
+    # digits, and a ValueError here would escape as a traceback
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise _HttpError(400, f"invalid Content-Length {raw_length!r}")
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise _HttpError(413, f"body of {length} bytes exceeds limit")
     body = await reader.readexactly(length) if length else b""
@@ -284,6 +289,18 @@ def _json_body(body: bytes) -> Dict[str, Any]:
     if not isinstance(payload, dict):
         raise _HttpError(400, "request body must be a JSON object")
     return payload
+
+
+def _number(payload: Dict[str, Any], field: str, default: Any,
+            kind: type) -> Any:
+    """``kind(payload[field])``, with a 400 instead of a 500 on junk."""
+    value = payload.get(field, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ServiceError(
+            f"{field} must be a number, got {value!r:.40}"
+        ) from None
 
 
 def _json_bytes(payload: Any) -> bytes:

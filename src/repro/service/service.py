@@ -29,6 +29,7 @@ synchronous — sketch queries are cheap and safe mid-window.
 from __future__ import annotations
 
 import asyncio
+from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -38,6 +39,7 @@ from ..common.errors import (
     SnapshotError,
     UnknownTenantError,
 )
+from ..common.hashing import canonical_keys, first_invalid_key
 from ..obs.catalog import bind_sketch
 from ..obs.exporters import to_prometheus
 from ..obs.registry import MetricsRegistry
@@ -276,11 +278,13 @@ class SketchService:
     async def ingest(self, name: str, items: List[Any]) -> Dict:
         """Queue a chunk of occurrences for the tenant's open window.
 
-        Constant-time for the caller: the chunk is enqueued whole and
-        coalesced into the next window barrier's single
-        ``insert_window`` call.  A full queue raises
-        :class:`AdmissionError` (backpressure, HTTP 429) instead of
-        buffering unboundedly.
+        The chunk is only type-checked here (every item must be a key
+        :func:`~repro.common.hashing.canonical_key` accepts; a bad one
+        rejects the whole chunk, so the barrier never fails on it) and
+        enqueued whole; canonicalization runs once per window, over the
+        coalesced chunks, in the next barrier's single ``insert_window``
+        call.  A full queue raises :class:`AdmissionError`
+        (backpressure, HTTP 429) instead of buffering unboundedly.
         """
         self._guard_open()
         tenant = self._tenant(name)
@@ -289,8 +293,14 @@ class SketchService:
             raise ServiceError(
                 "items must be an array of keys (one per occurrence)"
             )
+        items = list(items)
         try:
-            tenant.queue.put_nowait(("items", list(items), None))
+            _check_keys(items, "items")
+        except ServiceError:
+            tenant.stats.items_rejected_total += len(items)
+            raise
+        try:
+            tenant.queue.put_nowait(("items", items, None))
         except asyncio.QueueFull:
             tenant.stats.rejected_total += 1
             raise AdmissionError(
@@ -378,12 +388,7 @@ class SketchService:
     def _close_window(self, tenant: _Tenant) -> None:
         """Coalesce the buffered chunks into one ``insert_window``."""
         chunks = tenant.pending
-        if not chunks:
-            items: List[Any] = []
-        elif len(chunks) == 1:
-            items = chunks[0]
-        else:
-            items = [item for chunk in chunks for item in chunk]
+        items = list(chain.from_iterable(chunks))
         tenant.pending = []
         tenant.pending_items = 0
         tenant.sketch.insert_window(items)
@@ -401,16 +406,21 @@ class SketchService:
     def estimate(self, name: str, keys: List[Any]) -> Dict:
         """Per-key persistence estimates from the tenant's sketch."""
         tenant = self._tenant(name)
+        _check_keys(keys, "keys")
         tenant.stats.queries_total += 1
+        # fold the batch once; the sketch (both panels, when sliding)
+        # then sees canonical ints, which canonicalize to themselves
+        query = tenant.sketch.query
         return {
             "windows_done": tenant.windows_done,
-            "estimates": {str(key): int(tenant.sketch.query(key))
-                          for key in keys},
+            "estimates": {str(key): int(query(canon)) for key, canon
+                          in zip(keys, canonical_keys(keys).tolist())},
         }
 
     def explain(self, name: str, key: Any) -> Dict:
         """Decision audit for one key (flat/sharded/sliding aware)."""
         tenant = self._tenant(name)
+        _check_keys([key], "key")
         tenant.stats.queries_total += 1
         explanation = tenant.sketch.explain(key)
         if isinstance(explanation, dict):  # sliding: per-panel audits
@@ -509,6 +519,9 @@ class SketchService:
             ("service_tenant_rejected_total",
              "Ingest chunks rejected by backpressure",
              lambda t: float(t.rejected_total)),
+            ("service_tenant_items_rejected_total",
+             "Ingest items refused at the edge (chunks holding a non-key)",
+             lambda t: float(t.items_rejected_total)),
         )
         stats = tenant.stats
         for gauge_name, help_text, read in rows:
@@ -528,6 +541,18 @@ class SketchService:
                             labels={**labels, "shard": str(i)})
         else:
             bind_sketch(self.registry, sketch, labels=labels)
+
+
+def _check_keys(keys: List[Any], field: str) -> None:
+    """Reject a batch holding any item that is not a key (HTTP 400)."""
+    bad = first_invalid_key(keys)
+    if bad is not None:
+        item = keys[bad]
+        where = f"{field}[{bad}]" if field != "key" else field
+        raise ServiceError(
+            f"{where} is not a key: {type(item).__name__} {item!r:.60}; "
+            f"keys are integers or UTF-8 strings (nothing was applied)"
+        )
 
 
 def _explanation_dict(explanation) -> Dict[str, Any]:

@@ -222,6 +222,7 @@ class TenantStats:
     queries_total: int = 0
     checkpoints_total: int = 0
     rejected_total: int = 0
+    items_rejected_total: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return dict(asdict(self))

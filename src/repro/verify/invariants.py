@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -1155,51 +1155,86 @@ def _check_sliding_engine_equivalence(
     return out
 
 
+def _key_text(key: int, window: int) -> str:
+    """The string the service-equivalence string leg sends for ``key``.
+
+    A flow ID in odd windows, the bare number in even ones: a window of
+    nothing but numeric strings is the input that numpy once parsed back
+    into the ints themselves.
+    """
+    if window % 2:
+        return (f"10.{key % 251}.{key // 251 % 253}.{key % 13}:"
+                f"{key % 65536}>192.168.0.1:80/6")
+    return str(key)
+
+
 @register_invariant(
     "service-equivalence", "trace",
     "A SketchService fed the trace as chunked per-tenant ingest commands "
     "(coalesced into insert_window barriers) yields estimates, reports, "
-    "and snapshot bytes bit-identical to offline sketches fed directly",
+    "and snapshot bytes bit-identical to offline sketches fed directly; "
+    "string-keyed tenants match offline sketches fed canonical_key of "
+    "each string",
 )
 def _check_service_equivalence(
     trace: Trace, config: VerifyConfig
 ) -> List[Violation]:
     import asyncio
 
+    import numpy as np
+
+    from ..common.hashing import canonical_key
     from ..service import SketchService, TenantSpec, build_sketch
 
     name = "service-equivalence"
     memory_bytes = max(1024, config.memory_bytes)
+    flat = TenantSpec(
+        name="flat", kind="flat", memory_bytes=memory_bytes,
+        n_windows=trace.n_windows, seed=config.seed, engine="kernel",
+        window_distinct_hint=trace.mean_window_distinct(),
+    )
+    sliding = TenantSpec(
+        name="sliding", kind="sliding", memory_bytes=memory_bytes,
+        horizon=max(2, min(8, trace.n_windows)), seed=config.seed,
+        engine="kernel",
+    )
     specs = {
-        "flat": TenantSpec(
-            name="flat", kind="flat", memory_bytes=memory_bytes,
-            n_windows=trace.n_windows, seed=config.seed, engine="kernel",
-            window_distinct_hint=trace.mean_window_distinct(),
-        ),
-        "sliding": TenantSpec(
-            name="sliding", kind="sliding", memory_bytes=memory_bytes,
-            horizon=max(2, min(8, trace.n_windows)), seed=config.seed,
-            engine="kernel",
-        ),
+        "flat": flat, "sliding": sliding,
+        "flat-str": replace(flat, name="flat-str"),
+        "sliding-str": replace(sliding, name="sliding-str"),
     }
     window_arrays = trace.window_arrays()
+    texts = [[_key_text(key, w) for key in window.tolist()]
+             for w, window in enumerate(window_arrays)]
     keys = sample_keys(trace, _EQUIVALENCE_KEY_CAP)
+    # each leg: the windows a tenant is sent, the windows its offline
+    # reference gets in their place, and the keys both are asked
+    int_leg = (window_arrays, window_arrays, keys)
+    str_leg = (
+        texts,
+        [np.array([canonical_key(text) for text in window],
+                  dtype=np.uint64) for window in texts],
+        [_key_text(key, w) for w in (0, 1) for key in keys],
+    )
+    legs = {tenant: (str_leg if tenant.endswith("-str") else int_leg)
+            for tenant in specs}
+
+    def offline_key(key):
+        return canonical_key(key) if isinstance(key, str) else key
 
     async def drive() -> Dict[str, Dict[str, object]]:
         service = SketchService()
         await service.start()
         for spec in specs.values():
             await service.create_tenant(spec.to_dict())
-        for window_keys in window_arrays:
-            # three chunks per window per tenant: the barrier must
-            # coalesce them into ONE insert_window, in arrival order
-            third = max(1, len(window_keys) // 3) if len(window_keys) \
-                else 1
+        for w in range(len(window_arrays)):
             for tenant in specs:
-                for i in range(0, len(window_keys) or 0, third):
-                    await service.ingest(
-                        tenant, window_keys[i:i + third]
-                    )
+                # three chunks per window per tenant: the barrier must
+                # coalesce them into ONE insert_window, in arrival order
+                items = legs[tenant][0][w]
+                third = max(1, len(items) // 3)
+                for i in range(0, len(items), third):
+                    await service.ingest(tenant, items[i:i + third])
             for tenant in specs:
                 await service.end_window(tenant)
         results = {}
@@ -1207,10 +1242,10 @@ def _check_service_equivalence(
             sketch = service.tenants[tenant].sketch
             # bytes before the estimate sweep: queries move counters
             state_bytes = encode_state(sketch.state_dict())
-            estimates = service.estimate(tenant, keys)["estimates"]
+            estimates = service.estimate(tenant, legs[tenant][2])
             results[tenant] = {
                 "bytes": state_bytes,
-                "estimates": estimates,
+                "estimates": estimates["estimates"],
                 "report": service.report(tenant, 1)["items"],
             }
         await service.close()
@@ -1220,7 +1255,8 @@ def _check_service_equivalence(
     out = []
     for tenant, spec in specs.items():
         offline = build_sketch(spec)
-        for window_keys in window_arrays:
+        _, reference, asked = legs[tenant]
+        for window_keys in reference:
             offline.insert_window(window_keys)
         offline_bytes = encode_state(offline.state_dict())
         if served[tenant]["bytes"] != offline_bytes:
@@ -1229,15 +1265,15 @@ def _check_service_equivalence(
                 f"tenant {tenant!r}: served snapshot bytes diverge from "
                 f"the offline run",
             ))
-        for key in keys:
+        for key in asked:
             mine = int(served[tenant]["estimates"][str(key)])
-            theirs = int(offline.query(key))
+            theirs = int(offline.query(offline_key(key)))
             if mine != theirs:
                 out.append(Violation(
                     name,
-                    f"tenant {tenant!r} key {key}: served estimate "
+                    f"tenant {tenant!r} key {key!r}: served estimate "
                     f"{mine} != offline estimate {theirs}",
-                    key=key,
+                    key=offline_key(key),
                     details={"served": mine, "offline": theirs},
                 ))
         offline_report = {str(key): int(value) for key, value

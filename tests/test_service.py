@@ -13,14 +13,17 @@ The contract under test, per layer:
   directory finishes bit-identical to an uninterrupted offline run.
 * http — every route round-trips through a real socket with the right
   status codes (404 unknown tenant, 429 budget/backpressure, 400
-  malformed spec).
+  malformed spec, keys that are not keys, bad ``Content-Length``).
 """
 
 import asyncio
+import logging
+import socket
 import threading
 
 import pytest
 
+from repro.common.hashing import canonical_key
 from repro.common.errors import (
     AdmissionError,
     ServiceError,
@@ -266,6 +269,59 @@ class TestServiceCore:
             await service.close()
         run(main())
 
+    def test_non_key_chunk_is_refused_before_it_can_poison_a_window(self):
+        async def main():
+            service = SketchService()
+            await service.create_tenant(flat_spec("t"))
+            await service.ingest("t", [1, 2, 3])
+            with pytest.raises(ServiceError, match=r"items\[0\]"):
+                await service.ingest("t", [[1]])
+            await service.ingest("t", [4])
+            await service.end_window("t")
+            await service.end_window("t")
+            status = service.tenant_status("t")
+            assert status["windows_done"] == 2
+            assert status["stats"]["items_total"] == 4
+            assert status["stats"]["items_rejected_total"] == 1
+            assert service.estimate("t", [1, 2, 3, 4])["estimates"] == \
+                {"1": 1, "2": 1, "3": 1, "4": 1}
+            for bad, index in (([1, "a", 2.5], 2), ([None], 0),
+                               (["ok", {"k": 1}], 1), (["\udc80"], 0)):
+                with pytest.raises(ServiceError, match=rf"\[{index}\]"):
+                    await service.ingest("t", bad)
+            with pytest.raises(ServiceError, match=r"keys\[1\]"):
+                service.estimate("t", [1, 1.5])
+            with pytest.raises(ServiceError, match="key"):
+                service.explain("t", [1])
+            assert service.tenant_status("t")["stats"][
+                "items_rejected_total"] == 8
+            await service.close()
+        run(main())
+
+    def test_string_keys_match_offline_canonical_ints(self, windows):
+        def text(key, w):
+            return str(key) if w % 2 else f"10.0.{key % 256}.1:{key}>x/6"
+
+        async def main():
+            service = SketchService()
+            await service.create_tenant(flat_spec("s"))
+            for w, window in enumerate(windows[:6]):
+                strings = [text(key, w) for key in window]
+                await service.ingest("s", strings[:10])
+                await service.ingest("s", strings[10:])
+                await service.end_window("s")
+            names = [text(key, w) for w in (0, 1) for key in windows[0][:8]]
+            return (encode_state(service.tenants["s"].sketch.state_dict()),
+                    service.estimate("s", names)["estimates"], names)
+
+        state, served, names = run(main())
+        offline = offline_flat(
+            [[canonical_key(text(key, w)) for key in window]
+             for w, window in enumerate(windows[:6])])
+        assert state == encode_state(offline.state_dict())
+        assert served == {name: offline.query(canonical_key(name))
+                          for name in names}
+
     def test_checkpointing_needs_state_dir(self):
         async def main():
             service = SketchService()
@@ -444,6 +500,8 @@ class _LiveServer:
         future.result(10)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(10)
+        assert not self.thread.is_alive()
+        self.loop.close()
 
 
 class TestHTTP:
@@ -499,6 +557,52 @@ class TestHTTP:
             assert 'hs_windows_total{tenant="m"}' in text
             listed = client.list_tenants()
             assert [t["name"] for t in listed["tenants"]] == ["m"]
+
+    def test_non_key_ingest_is_a_400_and_counted(self):
+        with _LiveServer() as client:
+            client.create_tenant(**flat_spec("t"))
+            client.ingest("t", [1, 2, 3])
+            with pytest.raises(ServiceHTTPError) as excinfo:
+                client.ingest("t", [[1]])
+            assert excinfo.value.status == 400
+            assert "items[0]" in excinfo.value.payload["message"]
+            client.ingest("t", [4])
+            client.end_window("t")
+            assert client.end_window("t")["windows_done"] == 2
+            assert client.estimate("t", [1, 2, 3, 4])["estimates"] == \
+                {"1": 1, "2": 1, "3": 1, "4": 1}
+            assert client.tenant_status("t")["stats"]["items_total"] == 4
+            text = client.metrics()
+            assert 'service_tenant_items_rejected_total{tenant="t"} 1' \
+                in text
+            for route, body in (("window", {"count": "many"}),
+                                ("report", {"threshold": [3]}),
+                                ("find-persistent", {"alpha": None})):
+                with pytest.raises(ServiceHTTPError) as excinfo:
+                    client.request("POST", f"/tenants/t/{route}", body)
+                assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("length", [b"-5", b"abc", b"1_0", b"+3",
+                                        b"\xb2"])
+    def test_bad_content_length_is_a_400_without_traceback(
+            self, length, caplog, capfd):
+        live = _LiveServer()
+        with live as client:
+            with socket.create_connection(
+                    ("127.0.0.1", live.server.port), timeout=10) as sock:
+                sock.sendall(b"POST /tenants HTTP/1.1\r\nContent-Length: "
+                             + length + b"\r\n\r\n{}")
+                reply = b""
+                while True:
+                    data = sock.recv(65536)
+                    if not data:
+                        break
+                    reply += data
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert b"Content-Length" in reply.split(b"\r\n\r\n", 1)[1]
+            assert client.healthz()["ok"] is True
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_malformed_requests(self):
         with _LiveServer() as client:
