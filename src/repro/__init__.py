@@ -56,7 +56,6 @@ from .core import (
     HypersistentSketch,
     ShardedSketch,
     SlidingHypersistentSketch,
-    VectorizedBurstFilter,
     load_sketch,
     make_hypersistent_simd,
     save_sketch,
@@ -108,7 +107,6 @@ __all__ = [
     "SmallSpace",
     "TightSketch",
     "Trace",
-    "VectorizedBurstFilter",
     "WavingPersistenceSketch",
     "WavingSketch",
     "WindowProfiler",

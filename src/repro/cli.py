@@ -51,6 +51,7 @@ from typing import List, Optional
 
 from .analysis.ascii_plot import plot_figure, telemetry_panel
 from .analysis.metrics import aae, are, classify, estimate_all
+from .core.kernels import ENGINE_KERNEL, ENGINES
 from .experiments.harness import (
     BATCHED_ALGORITHMS,
     ESTIMATION_ALGORITHMS,
@@ -74,12 +75,12 @@ from .obs import (
 )
 
 #: Labels accepted by ``estimate``/``compare``: the estimation suite plus
-#: the batched-ingestion variants (same estimates, columnar insert path).
+#: the whole-window kernel variant (same estimates, batch insert path).
 _ESTIMATE_CHOICES = tuple(ESTIMATION_ALGORITHMS) + tuple(BATCHED_ALGORITHMS)
 
 #: Labels ``trace``/``explain`` accept: only the Hypersistent builds carry
 #: the flight-recorder wiring and the staged ``explain`` audit.
-_TRACEABLE_CHOICES = ("HS", "HS-SIMD", "HS-BATCH", "HS-KERNEL")
+_TRACEABLE_CHOICES = ("HS", "HS-SIMD", "HS-KERNEL")
 from .experiments.registry import (
     EXPERIMENTS,
     run_experiment,
@@ -811,6 +812,12 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _add_engine_arg(p, help_text: str, default: Optional[str] = None) -> None:
+    """The ``--engine`` option shared by every ingesting command."""
+    p.add_argument("--engine", choices=ENGINES, default=default,
+                   help=help_text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -854,10 +861,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="HS")
     p.add_argument("--memory-kb", type=float, default=64)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--engine", choices=("scalar", "batched", "kernel"),
-                   default=None,
-                   help="force a batch ingestion backend on sketches that "
-                        "support one (bit-identical results; speed only)")
+    _add_engine_arg(p, "force a batch ingestion backend on sketches that "
+                       "support one (bit-identical results; speed only)")
     p.add_argument("--profile", action="store_true",
                    help="print a per-stage latency breakdown of the run")
     p.add_argument("--telemetry", metavar="PATH",
@@ -905,10 +910,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=_TRACEABLE_CHOICES, default="HS")
     p.add_argument("--memory-kb", type=float, default=64)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--engine", choices=("scalar", "batched", "kernel"),
-                   default=None,
-                   help="force a batch ingestion backend (bit-identical "
-                        "results; changes which bulk events are emitted)")
+    _add_engine_arg(p, "force a batch ingestion backend (bit-identical "
+                       "results; changes which bulk events are emitted)")
     p.add_argument("--capacity", type=int, default=65536,
                    help="flight-recorder ring size (oldest events drop "
                         "beyond this)")
@@ -935,10 +938,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=_TRACEABLE_CHOICES, default="HS")
     p.add_argument("--memory-kb", type=float, default=64)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--engine", choices=("scalar", "batched", "kernel"),
-                   default=None,
-                   help="force a batch ingestion backend (bit-identical "
-                        "results; changes which bulk events are emitted)")
+    _add_engine_arg(p, "force a batch ingestion backend (bit-identical "
+                       "results; changes which bulk events are emitted)")
     p.add_argument("--capacity", type=int, default=65536,
                    help="flight-recorder ring size")
     p.set_defaults(func=_cmd_explain)
@@ -1024,10 +1025,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop-after", type=int, default=0, metavar="W",
                    help="stop after W windows (simulate a crash; "
                         "0 = stream the whole trace)")
-    p.add_argument("--engine", choices=("scalar", "batched", "kernel"),
-                   default=None,
-                   help="force a batch ingestion backend (bit-identical "
-                        "results; errors on sketches without a selector)")
+    _add_engine_arg(p, "force a batch ingestion backend (bit-identical "
+                       "results; errors on sketches without a selector)")
     p.add_argument("--sliding", action="store_true",
                    help="checkpoint the two-panel sliding wrapper "
                         "instead of the whole-stream sketch (HS only)")
@@ -1050,11 +1049,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also rebuild the sketch from the checkpoint's "
                         "meta, run it uninterrupted, and verify the "
                         "resumed estimates are bit-equal")
-    p.add_argument("--engine", choices=("scalar", "batched", "kernel"),
-                   default=None,
-                   help="replay the remaining windows on this batch "
-                        "backend (bit-identical results; errors on "
-                        "sketches without a selector)")
+    _add_engine_arg(p, "replay the remaining windows on this batch "
+                       "backend (bit-identical results; errors on "
+                       "sketches without a selector)")
     p.set_defaults(func=_cmd_resume)
 
     p = sub.add_parser(
@@ -1068,9 +1065,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--memory-kb", type=float, default=64,
                    help="total memory budget, split across workers")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--engine", choices=("scalar", "batched", "kernel"),
-                   default="kernel",
-                   help="ingest backend per worker (bit-equivalent)")
+    _add_engine_arg(p, "ingest backend per worker (bit-equivalent)",
+                    default=ENGINE_KERNEL)
     p.add_argument("--every", type=int, default=8,
                    help="checkpoint every K closed windows")
     p.add_argument("--out", default="results/pipeline",

@@ -6,21 +6,13 @@ from .cold_filter import ColdFilter
 from .config import HOT_COUNTER_BITS, REPLACE_HASH, REPLACE_RANDOM, HSConfig
 from .hot_part import HotPart
 from .hypersistent import HypersistentSketch
-from .kernels import (
-    ENGINE_BATCHED,
-    ENGINE_KERNEL,
-    ENGINE_SCALAR,
-    ENGINES,
-    ingest_window,
-)
+from .kernels import ENGINE_KERNEL, ENGINE_SCALAR, ENGINES, ingest_window
 from .meta_filter import ColdFilteredSketch
 from .sharded import ShardedSketch
 from .sliding import SlidingHypersistentSketch
 from .snapshot import SnapshotError, load_sketch, save_sketch
 from .simd import (
     SIMD_LANES,
-    BatchWindowProcessor,
-    VectorizedBurstFilter,
     make_hypersistent_simd,
     scalar_scan_cost,
     simd_scan_cost,
@@ -28,14 +20,12 @@ from .simd import (
 
 __all__ = [
     "ENGINES",
-    "ENGINE_BATCHED",
     "ENGINE_KERNEL",
     "ENGINE_SCALAR",
     "HOT_COUNTER_BITS",
     "REPLACE_HASH",
     "REPLACE_RANDOM",
     "SIMD_LANES",
-    "BatchWindowProcessor",
     "BurstFilter",
     "ColdFilteredSketch",
     "ColdFilter",
@@ -46,7 +36,6 @@ __all__ = [
     "ShardedSketch",
     "SlidingHypersistentSketch",
     "SnapshotError",
-    "VectorizedBurstFilter",
     "ingest_window",
     "load_sketch",
     "make_hypersistent_simd",

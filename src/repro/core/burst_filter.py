@@ -16,12 +16,20 @@ At the window end :meth:`drain` yields every stored ID exactly once and
 clears the filter.
 
 Storage is structure-of-arrays: a contiguous ``(w, gamma)`` ``uint64`` key
-matrix plus a per-bucket fill vector (the layout
-:class:`~repro.core.simd.VectorizedBurstFilter` proved out), so the batch
-paths scatter whole plans with numpy fancy indexing and the membership
-probes are masked vector compares.  The instrumentation keeps the *scalar*
-cost model — ``compare_ops`` counts the sequential early-exit scan's ID
-comparisons — so the paper's hash-savings analysis is unchanged.
+matrix plus a per-bucket fill vector, so the batch paths scatter whole
+plans with numpy fancy indexing and the membership probes are masked
+vector compares.  ``compare_ops`` follows one of two cost models, fixed at
+construction:
+
+* ``"scalar"`` (default) — the sequential early-exit scan's ID
+  comparisons, so the paper's hash-savings analysis is unchanged;
+* ``"simd"`` — Algorithm 6 (Section III-H): every scan costs
+  ``ceil(gamma / SIMD_LANES)`` vector compares
+  (:func:`~repro.core.simd.simd_scan_cost`).  The paper's SIMD scan is a
+  cost model on this same bucket layout, not a separate structure;
+  :func:`~repro.core.simd.make_hypersistent_simd` builds a sketch with it.
+
+Both models store and answer identically; only ``compare_ops`` differs.
 """
 
 from __future__ import annotations
@@ -34,30 +42,46 @@ from ..common.bitmem import ID_BITS
 from ..common.errors import ConfigError, MergeError
 from ..common.hashing import HashFamily
 from ..obs.events import BURST_ADMIT, BURST_DRAIN, BURST_OVERFLOW
-from .columnar import plan_burst_admission, window_downstream
-from .kernels import burst_window_plan
+from .kernels import burst_window_plan, plan_burst_admission
+from .simd import simd_scan_cost
+
+#: ``compare_ops`` cost models (see the module docstring).
+COMPARE_SCALAR = "scalar"
+COMPARE_SIMD = "simd"
+COMPARE_MODELS = (COMPARE_SCALAR, COMPARE_SIMD)
 
 
 class BurstFilter:
     """Within-window item deduplication store.
 
     Instrumented with ``hash_ops`` (hash computations performed) and
-    ``compare_ops`` (ID comparisons during bucket scans) so the benchmark
-    harness can reproduce the paper's hash-savings analysis (Section III-D)
+    ``compare_ops`` (bucket-scan compares under ``compare_model``) so the
+    benchmark harness can reproduce the paper's hash-savings analysis
+    (Section III-D) and the SIMD scan's compare savings (Section III-H)
     without relying on wall-clock timing of interpreted code.
     """
 
-    __slots__ = ("n_buckets", "cells_per_bucket", "_hash", "_keys", "_fill",
-                 "hash_ops", "compare_ops", "absorbed", "overflowed", "trace")
+    __slots__ = ("n_buckets", "cells_per_bucket", "compare_model",
+                 "_scan_cost", "_hash", "_keys", "_fill", "hash_ops",
+                 "compare_ops", "absorbed", "overflowed", "trace")
 
     def __init__(self, n_buckets: int, cells_per_bucket: int = 4,
-                 seed: int = 42):
+                 seed: int = 42, compare_model: str = COMPARE_SCALAR):
         if n_buckets < 1:
             raise ConfigError("BurstFilter needs at least one bucket")
         if cells_per_bucket < 1:
             raise ConfigError("BurstFilter buckets need at least one cell")
+        if compare_model not in COMPARE_MODELS:
+            raise ConfigError(
+                f"unknown compare model {compare_model!r}; choose from "
+                f"{COMPARE_MODELS}"
+            )
         self.n_buckets = n_buckets
         self.cells_per_bucket = cells_per_bucket
+        self.compare_model = compare_model
+        # derived cost constant (None = early-exit scalar count)
+        # staticcheck: ignore[SC-PERSIST] from_state() recomputes it
+        self._scan_cost = _scan_cost(compare_model, cells_per_bucket)
         self._hash = HashFamily(1, seed)
         self._keys = np.zeros((n_buckets, cells_per_bucket), dtype=np.uint64)
         self._fill = np.zeros(n_buckets, dtype=np.int64)
@@ -79,14 +103,19 @@ class BurstFilter:
         self.hash_ops += 1
         b = self._hash.index(key, 0, self.n_buckets)
         fill = int(self._fill[b])
+        hit = -1
         if fill:
             hits = np.flatnonzero(self._keys[b, :fill] == np.uint64(key))
             if hits.size:
-                # the sequential scan stops at the hit: slot s costs s + 1
-                self.compare_ops += int(hits[0]) + 1
-                self.absorbed += 1
-                return True
-            self.compare_ops += fill
+                hit = int(hits[0])
+        # the sequential scan stops at a hit (slot s costs s + 1) or reads
+        # every stored cell; the SIMD model charges a fixed cost per scan
+        scanned = hit + 1 if hit >= 0 else fill
+        self.compare_ops += scanned if self._scan_cost is None \
+            else self._scan_cost
+        if hit >= 0:
+            self.absorbed += 1
+            return True
         tr = self.trace
         if fill < self.cells_per_bucket:
             self._keys[b, fill] = key
@@ -108,9 +137,9 @@ class BurstFilter:
         ``keys[~mask]`` downstream in order, which is exactly the scalar
         forwarding sequence.  State and the ``absorbed`` / ``overflowed`` /
         ``compare_ops`` counters match a record-at-a-time replay bit for
-        bit; ``hash_ops`` keeps the scalar cost model (one hash per record)
-        even though the batch coalesces the actual hashing into one
-        vectorized pass over the batch's *distinct* keys.
+        bit; ``hash_ops`` keeps the per-record cost model (one hash per
+        record) even though the batch coalesces the actual hashing into
+        one vectorized pass over the batch's *distinct* keys.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         n = int(keys.size)
@@ -130,7 +159,7 @@ class BurstFilter:
             self._keys[plan.buckets[new], plan.slots[new]] = \
                 plan.unique_keys[new]
             np.add.at(self._fill, plan.buckets[new], 1)
-        self.compare_ops += plan.scan_compares
+        self.compare_ops += self._batch_compares(n, plan.scan_compares)
         self.absorbed += plan.n_absorbed
         self.overflowed += n - plan.n_absorbed
         tr = self.trace
@@ -139,7 +168,7 @@ class BurstFilter:
             tr.emit_bulk(BURST_OVERFLOW, keys[~plan.absorbed])
         return plan.absorbed
 
-    def window_batch(self, keys: np.ndarray) -> Optional[np.ndarray]:
+    def window_kernel(self, keys: np.ndarray) -> Optional[np.ndarray]:
         """Whole-window fast path: admission plus drain in one plan.
 
         Returns the downstream key sequence the scalar window would send to
@@ -148,36 +177,10 @@ class BurstFilter:
         order — leaving the filter empty, exactly as
         ``insert_batch`` + ``drain_array`` would.  Because the stored set
         is drained at the window end regardless, bucket storage is never
-        touched; only the plan and the counters are computed.  Requires an
-        empty filter (the whole-window invariant); returns ``None`` when
-        the filter holds keys so the caller can take the general path.
-        """
-        if self._fill.any():
-            return None
-        keys = np.asarray(keys, dtype=np.uint64)
-        n = int(keys.size)
-        if not n:
-            return keys
-        self.hash_ops += n
-        plan = plan_burst_admission(
-            keys,
-            lambda u: self._hash.index_batch(u, 0, self.n_buckets),
-            self.cells_per_bucket,
-        )
-        self.compare_ops += plan.scan_compares
-        self.absorbed += plan.n_absorbed
-        self.overflowed += n - plan.n_absorbed
-        downstream = window_downstream(keys, plan, self.cells_per_bucket)
-        self._emit_window_bulks(downstream, n - plan.n_absorbed)
-        return downstream
-
-    def window_kernel(self, keys: np.ndarray) -> Optional[np.ndarray]:
-        """Fused :meth:`window_batch` (the ``engine="kernel"`` stage-1 op).
-
-        Identical contract and counters; computed by
-        :func:`~repro.core.kernels.burst_window_plan` in one unique pass
-        plus one composite sort instead of the columnar plan's four sorts.
-        Returns ``None`` when the filter is non-empty (general path).
+        touched; only :func:`~repro.core.kernels.burst_window_plan` and the
+        counters run.  Requires an empty filter (the whole-window
+        invariant); returns ``None`` when the filter holds keys so the
+        caller can take the general path.
         """
         if self._fill.any():
             return None
@@ -190,21 +193,28 @@ class BurstFilter:
             keys,
             lambda u: self._hash.index_batch(u, 0, self.n_buckets),
             self.cells_per_bucket,
+            with_compares=self._scan_cost is None,
         )
-        self.compare_ops += scan_compares
+        self.compare_ops += self._batch_compares(n, scan_compares)
         self.absorbed += n_absorbed
         self.overflowed += n - n_absorbed
         self._emit_window_bulks(downstream, n - n_absorbed)
         return downstream
+
+    def _batch_compares(self, n: int, scan_compares: int) -> int:
+        """``compare_ops`` of ``n`` scans under this filter's model
+        (``scan_compares`` is the batch's scalar early-exit count)."""
+        if self._scan_cost is None:
+            return scan_compares
+        return n * self._scan_cost
 
     def _emit_window_bulks(self, downstream: np.ndarray,
                            n_overflow: int) -> None:
         """Reconstruct the whole-window fast path's events in bulk.
 
         ``downstream`` is overflow occurrences followed by the drained
-        distinct keys (the :func:`window_downstream` layout), so the two
-        slices are exactly the scalar window's OVERFLOW and ADMIT+DRAIN
-        emissions — no per-item work.
+        distinct keys, so the two slices are exactly the scalar window's
+        OVERFLOW and ADMIT+DRAIN emissions — no per-item work.
         """
         tr = self.trace
         if tr is not None and tr.enabled:
@@ -236,7 +246,8 @@ class BurstFilter:
         self.hash_ops += 1
         b = self._hash.index(key, 0, self.n_buckets)
         fill = int(self._fill[b])
-        self.compare_ops += fill
+        self.compare_ops += fill if self._scan_cost is None \
+            else self._scan_cost
         return fill > 0 and bool(
             (self._keys[b, :fill] == np.uint64(key)).any()
         )
@@ -299,6 +310,11 @@ class BurstFilter:
             )
         if self._hash.state_dict() != other._hash.state_dict():
             raise MergeError("burst filter hash families differ")
+        if self.compare_model != other.compare_model:
+            raise MergeError(
+                f"burst filter compare models differ: "
+                f"{self.compare_model} vs {other.compare_model}"
+            )
         if len(self) or len(other):
             raise MergeError(
                 "burst filters must be drained before merging "
@@ -324,10 +340,10 @@ class BurstFilter:
         problems: List[str] = []
         for b in range(self.n_buckets):
             fill = int(self._fill[b])
-            if fill > self.cells_per_bucket:
+            if not 0 <= fill <= self.cells_per_bucket:
                 problems.append(
-                    f"burst bucket {b} holds {fill} IDs "
-                    f"> capacity {self.cells_per_bucket}"
+                    f"burst bucket {b} fill {fill} outside "
+                    f"[0, {self.cells_per_bucket}]"
                 )
                 continue
             stored = [int(key) for key in self._keys[b, :fill]]
@@ -382,6 +398,7 @@ class BurstFilter:
         return {
             "n_buckets": self.n_buckets,
             "cells_per_bucket": self.cells_per_bucket,
+            "compare_model": self.compare_model,
             "hash": self._hash.state_dict(),
             "keys": self._keys[filled],
             "fills": self._fill.copy(),
@@ -393,10 +410,25 @@ class BurstFilter:
 
     @classmethod
     def from_state(cls, state: dict) -> "BurstFilter":
-        """Rebuild a filter bit-identical to the one that was saved."""
+        """Rebuild a filter bit-identical to the one that was saved.
+
+        Also decodes the layout earlier versions wrote for their separate
+        SIMD filter class (a full key matrix plus an ``int32`` ``fill``
+        vector): it loads as a ``"simd"``-model filter through the same
+        fill checks.  States without a ``compare_model`` load as
+        ``"scalar"``.
+        """
+        if "fill" in state:
+            state = _from_legacy_simd_layout(state)
         obj = cls.__new__(cls)
         obj.n_buckets = int(state["n_buckets"])
         obj.cells_per_bucket = int(state["cells_per_bucket"])
+        obj.compare_model = state.get("compare_model", COMPARE_SCALAR)
+        if obj.compare_model not in COMPARE_MODELS:
+            raise ValueError(
+                f"unknown burst compare model {obj.compare_model!r}"
+            )
+        obj._scan_cost = _scan_cost(obj.compare_model, obj.cells_per_bucket)
         obj._hash = HashFamily.from_state(state["hash"])
         keys = np.asarray(state["keys"], dtype=np.uint64)
         fills = np.asarray(state["fills"], dtype=np.int64)
@@ -417,3 +449,33 @@ class BurstFilter:
         obj.overflowed = int(state["overflowed"])
         obj.trace = None
         return obj
+
+
+def _scan_cost(compare_model: str, cells_per_bucket: int) -> Optional[int]:
+    """Fixed per-scan compare cost; ``None`` for the early-exit count."""
+    if compare_model == COMPARE_SIMD:
+        return simd_scan_cost(cells_per_bucket)
+    return None
+
+
+def _from_legacy_simd_layout(state: dict) -> dict:
+    """Rewrite the earlier SIMD filter's state layout into the current one.
+
+    That layout serialized the whole ``(w, gamma)`` key matrix (empty cells
+    held a sentinel) and an ``int32`` ``fill`` vector.  Only each bucket's
+    occupied prefix is kept; the fills are range-checked by
+    :meth:`BurstFilter.from_state` like any other state, so a corrupt fill
+    can never surface the sentinel as a stored key.
+    """
+    n_buckets = int(state["n_buckets"])
+    cells = int(state["cells_per_bucket"])
+    keys = np.asarray(state["keys"], dtype=np.uint64).reshape(
+        n_buckets, cells)
+    fills = np.asarray(state["fill"], dtype=np.int64)
+    if fills.shape != (n_buckets,):
+        raise ValueError("burst filter state is inconsistent")
+    filled = np.arange(cells)[None, :] < fills[:, None]
+    upgraded = {k: v for k, v in state.items() if k != "fill"}
+    upgraded.update(compare_model=COMPARE_SIMD, keys=keys[filled],
+                    fills=fills)
+    return upgraded

@@ -25,17 +25,11 @@ from ..common.errors import ConfigError, MergeError
 from ..common.hashing import ItemKey, canonical_key, canonical_keys
 from ..obs.catalog import bind_sketch, legacy_sketch_stats, sketch_metrics
 from ..obs.events import BURST_DRAIN
-from .burst_filter import BurstFilter
+from .burst_filter import COMPARE_MODELS, BurstFilter
 from .cold_filter import ColdFilter
 from .config import HSConfig
 from .hot_part import HotPart
-from .kernels import (
-    ENGINE_BATCHED,
-    ENGINE_KERNEL,
-    ENGINE_SCALAR,
-    ENGINES,
-    ingest_window,
-)
+from .kernels import ENGINE_KERNEL, ENGINE_SCALAR, ENGINES, ingest_window
 
 
 class HypersistentSketch:
@@ -49,15 +43,13 @@ class HypersistentSketch:
     :meth:`insert_window` / :meth:`insert_batch` replay a window —
     per-record :meth:`insert` calls are always scalar):
 
-    * ``"scalar"`` — per-record replay, the oracle the other backends are
-      checked against;
-    * ``"batched"`` — the columnar plans of :mod:`repro.core.columnar`
-      (default);
-    * ``"kernel"`` — the fused structure-of-arrays kernels of
-      :mod:`repro.core.kernels`, the fastest path.
+    * ``"kernel"`` (default) — the fused structure-of-arrays kernels of
+      :mod:`repro.core.kernels`, the fast path;
+    * ``"scalar"`` — per-record replay, the oracle the kernels are
+      checked against.
 
-    All three are bit-for-bit equivalent — state, estimates, and counters —
-    so the engine is a runtime choice and never enters :meth:`state_dict`.
+    Both are bit-for-bit equivalent — state, estimates, and counters — so
+    the engine is a runtime choice and never enters :meth:`state_dict`.
 
     >>> sketch = HypersistentSketch(HSConfig(memory_bytes=64 * 1024))
     >>> for window in range(3):
@@ -69,14 +61,14 @@ class HypersistentSketch:
     """
 
     def __init__(self, config: Optional[HSConfig] = None,
-                 engine: str = ENGINE_BATCHED, **kwargs):
+                 engine: str = ENGINE_KERNEL, **kwargs):
         if config is None:
             config = HSConfig(**kwargs)
         elif kwargs:
             raise TypeError("pass either a config object or keyword fields")
         self.config = config
-        # runtime-only backend choice, never serialized (all engines are
-        # bit-identical; from_state always restores as "batched")
+        # runtime-only backend choice, never serialized (both engines are
+        # bit-identical; from_state always restores as "kernel")
         self.engine = engine  # staticcheck: ignore[SC-PERSIST]
         seed = config.seed
         n_burst = config.burst_buckets()
@@ -110,7 +102,7 @@ class HypersistentSketch:
 
     @property
     def engine(self) -> str:
-        """Active batch ingestion backend (``scalar``/``batched``/``kernel``)."""
+        """Active batch ingestion backend (``kernel`` or ``scalar``)."""
         return self._engine
 
     @engine.setter
@@ -158,12 +150,12 @@ class HypersistentSketch:
             tr.rotate(self.window)
 
     def insert_batch(self, items) -> None:
-        """Columnar :meth:`insert` of a batch of occurrences, in order.
+        """Batch :meth:`insert` of a run of occurrences, in order.
 
         Bit-for-bit equivalent to calling ``insert`` per item: the Burst
-        Filter admits the whole batch in one columnar plan, and the
+        Filter admits the whole batch in one admission plan, and the
         occurrences it could not absorb walk the Cold Filter / Hot Part in
-        their original arrival order via the stages' batch paths.  The
+        their original arrival order via the stages' batch kernels.  The
         window stays open — call :meth:`end_window` (or use
         :meth:`insert_window`) to close it.  Under ``engine="scalar"`` the
         batch is replayed record-at-a-time instead (the oracle path).
@@ -176,72 +168,32 @@ class HypersistentSketch:
         if self.burst is not None:
             absorbed = self.burst.insert_batch(keys)
             keys = keys[~absorbed]
-        self._insert_downstream_batch(keys)
+        if keys.size:
+            accepted = self.cold.insert_batch(keys)
+            self.hot.insert_batch(keys[~accepted])
 
     def _scalar_replay(self, keys: np.ndarray) -> None:
         """The oracle path: feed canonical keys through scalar ``insert``."""
         for key in keys.tolist():  # staticcheck: ignore[SC-LOOP]
             self.insert(key)
 
-    def _insert_downstream_batch(self, keys: np.ndarray) -> None:
-        """Cold Filter, then Hot Part on overflow, for an ordered batch."""
-        if not keys.size:
-            return
-        accepted = self.cold.insert_batch(keys)
-        self.hot.insert_batch(keys[~accepted])
-
     def insert_window(self, items) -> None:
         """Process one whole window of occurrences and close it.
 
         The batch equivalent of ``insert`` x N + ``end_window``, and
-        bit-for-bit equivalent to it: the Burst Filter's columnar admission
-        plan decides absorption exactly as the per-record scans would, the
-        overflowing occurrences go downstream in arrival order, and the
-        absorbed distinct keys follow in drain order — the same downstream
-        sequence the scalar path produces.  Use it when the caller already
+        bit-for-bit equivalent to it.  Use it when the caller already
         holds the window's records as a batch (see
-        :meth:`~repro.streams.model.Trace.window_arrays`).
-
-        Dispatches on :attr:`engine`: ``"kernel"`` runs the fused SoA
-        kernels (:func:`repro.core.kernels.ingest_window`), ``"scalar"``
-        replays the window record-at-a-time, ``"batched"`` uses the
-        columnar plans below.
+        :meth:`~repro.streams.model.Trace.window_arrays`).  Dispatches on
+        :attr:`engine`: ``"kernel"`` runs the fused SoA kernels
+        (:func:`repro.core.kernels.ingest_window`), ``"scalar"`` replays
+        the window record-at-a-time.
         """
         keys = canonical_keys(items)
         if self._engine == ENGINE_KERNEL:
             ingest_window(self, keys)
             return
-        if self._engine == ENGINE_SCALAR:
-            self._scalar_replay(keys)
-            self.end_window()
-            return
-        self.inserts += int(keys.size)
-        tr = self.trace
-        tracing = tr is not None and tr.enabled
-        window_started = time.perf_counter() if tracing else 0.0
-        if self.burst is not None:
-            # empty filter (the steady whole-window state): one fused plan
-            # yields the downstream sequence without touching bucket storage
-            downstream = self.burst.window_batch(keys)
-            if downstream is None:  # open window left by insert_batch
-                absorbed = self.burst.insert_batch(keys)
-                overflow = keys[~absorbed]
-                drained = self.burst.drain_array()
-                if tr is not None and tr.enabled:
-                    tr.emit_bulk(BURST_DRAIN, drained)
-                downstream = (
-                    np.concatenate((overflow, drained))
-                    if overflow.size else drained
-                )
-        else:
-            downstream = keys
-        self._insert_downstream_batch(downstream)
-        self.cold.end_window()
-        self.hot.end_window()
-        self.window += 1
-        if tracing:
-            tr.record_span("window", window_started, self.window - 1)
-            tr.rotate(self.window)
+        self._scalar_replay(keys)
+        self.end_window()
 
     # ------------------------------------------------------------------
     # query (Algorithm 5)
@@ -549,16 +501,14 @@ class HypersistentSketch:
     def state_dict(self) -> Dict:
         """Exact state as plain values (see :mod:`repro.persist`).
 
-        The stage-1 entry is tagged with the burst variant (``scalar`` for
-        :class:`BurstFilter`, ``simd`` for the vectorized drop-in) so a
-        restore rebuilds the same ingestion path.
+        The stage-1 entry is tagged with the Burst Filter's compare model
+        (``scalar`` or ``simd``; ``none`` without a Burst Filter).
         """
         if self.burst is None:
             burst_kind, burst_state = "none", None
-        elif isinstance(self.burst, BurstFilter):
-            burst_kind, burst_state = "scalar", self.burst.state_dict()
         else:
-            burst_kind, burst_state = "simd", self.burst.state_dict()
+            burst_kind = self.burst.compare_model
+            burst_state = self.burst.state_dict()
         return {
             "config": self.config.state_dict(),
             "burst_kind": burst_kind,
@@ -578,17 +528,18 @@ class HypersistentSketch:
         default engine; set :attr:`engine` afterwards to switch.
         """
         obj = cls.__new__(cls)
-        obj._engine = ENGINE_BATCHED
+        obj._engine = ENGINE_KERNEL
         obj.config = HSConfig.from_state(state["config"])
         kind = state["burst_kind"]
         if kind == "none":
             obj.burst = None
-        elif kind == "scalar":
+        elif kind in COMPARE_MODELS:
             obj.burst = BurstFilter.from_state(state["burst"])
-        elif kind == "simd":
-            from .simd import VectorizedBurstFilter  # local: avoid cycle
-
-            obj.burst = VectorizedBurstFilter.from_state(state["burst"])
+            if obj.burst.compare_model != kind:
+                raise ValueError(
+                    f"burst kind {kind!r} disagrees with the filter's "
+                    f"compare model {obj.burst.compare_model!r}"
+                )
         else:
             raise ValueError(f"unknown burst filter kind: {kind!r}")
         obj.cold = ColdFilter.from_state(state["cold"])

@@ -134,7 +134,7 @@ def resume(path: PathLike, trace: Any, batched: Optional[bool] = None,
 
     ``batched`` selects the replay path exactly like
     :func:`~repro.experiments.harness.run_stream`: default prefers the
-    sketch's columnar ``insert_window``, ``False`` forces the
+    sketch's whole-window ``insert_window``, ``False`` forces the
     record-at-a-time loop.  Both are bit-equivalent.
 
     ``engine`` re-applies a batch ingestion backend to the restored

@@ -32,12 +32,10 @@ def _registry() -> Dict[str, Type]:
         from ..core.hot_part import HotPart
         from ..core.hypersistent import HypersistentSketch
         from ..core.sharded import ShardedSketch
-        from ..core.simd import VectorizedBurstFilter
         from ..core.sliding import SlidingHypersistentSketch
 
         for klass in (
             BurstFilter,
-            VectorizedBurstFilter,
             ColdFilter,
             HotPart,
             HypersistentSketch,
@@ -45,6 +43,9 @@ def _registry() -> Dict[str, Type]:
             SlidingHypersistentSketch,
         ):
             _REGISTRY[klass.__name__] = klass
+        # tag of the separate SIMD filter class earlier versions wrote;
+        # BurstFilter.from_state decodes its layout as a "simd" filter
+        _REGISTRY["VectorizedBurstFilter"] = BurstFilter
     return _REGISTRY
 
 

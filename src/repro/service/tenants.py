@@ -33,6 +33,11 @@ KIND_SHARDED = "sharded"
 KIND_SLIDING = "sliding"
 TENANT_KINDS = (KIND_FLAT, KIND_SHARDED, KIND_SLIDING)
 
+#: Engine name that specs stored by earlier versions may carry.  Its
+#: backend was bit-identical to the kernel and is gone, so such specs load
+#: on the kernel engine.
+_LEGACY_ENGINE = "batched"
+
 #: Tenant names become file names and URL path segments — keep them tame.
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
@@ -114,6 +119,8 @@ class TenantSpec:
         """Build and validate a spec from an untrusted request dict."""
         if not isinstance(raw, dict):
             raise ServiceError("tenant spec must be a JSON object")
+        if raw.get("engine") == _LEGACY_ENGINE:
+            raw = dict(raw, engine=ENGINE_KERNEL)
         known = {f for f in cls.__dataclass_fields__}
         unknown = sorted(set(raw) - known)
         if unknown:

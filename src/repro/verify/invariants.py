@@ -8,7 +8,7 @@ Every property the verification subsystem can check is a named
 * ``final`` — checked once per run against the exact oracle (one-sided
   error directions, report/query consistency, global bounds);
 * ``trace`` — self-contained metamorphic properties that build their own
-  sketches from a trace (scalar ≡ batched ≡ sharded-merge equivalence,
+  sketches from a trace (scalar ≡ kernel ≡ sharded-merge equivalence,
   snapshot round-trips, sliding-window coverage bounds).
 
 The catalog is consumed three ways: the fuzz driver runs every applicable
@@ -421,7 +421,7 @@ def _scalar_feed(sketch, trace: Trace):
     return sketch
 
 
-def _batched_feed(sketch, trace: Trace):
+def _window_feed(sketch, trace: Trace):
     for window_keys in trace.window_arrays():
         sketch.insert_window(window_keys)
     return sketch
@@ -444,89 +444,63 @@ def _diff_keyed(name, reference, candidate, keys, label_a, label_b):
 
 
 @register_invariant(
-    "batch-equivalence", "trace",
-    "Record-at-a-time, insert_window, and SIMD-build ingestion produce "
-    "bit-identical estimates, reports, and counters",
-)
-def _check_batch_equivalence(
-    trace: Trace, config: VerifyConfig
-) -> List[Violation]:
-    hs_config = _estimation_config(trace, config)
-    scalar = _scalar_feed(HypersistentSketch(hs_config), trace)
-    batched = _batched_feed(HypersistentSketch(hs_config), trace)
-    simd = _batched_feed(make_hypersistent_simd(hs_config), trace)
-    out = []
-    # stats first: queries below move the hash-op counters, and they hit
-    # the scalar sketch once per comparison (twice in total)
-    if scalar.stats() != batched.stats():
-        out.append(Violation(
-            "batch-equivalence",
-            "scalar and batched stats() diverge",
-            details={"scalar": scalar.stats(), "batched": batched.stats()},
-        ))
-    keys = sample_keys(trace, _EQUIVALENCE_KEY_CAP)
-    out += _diff_keyed("batch-equivalence", scalar, batched, keys,
-                       "scalar", "batched")
-    out += _diff_keyed("batch-equivalence", scalar, simd, keys,
-                       "scalar", "simd")
-    if scalar.report(1) != batched.report(1):
-        out.append(Violation(
-            "batch-equivalence",
-            "scalar and batched report(1) diverge",
-        ))
-    return out
-
-
-@register_invariant(
     "kernel-equivalence", "trace",
     "The whole-window SoA kernel backend (engine=\"kernel\") matches the "
-    "scalar oracle bit-for-bit: counters, estimates, reports, and the "
-    "serialized snapshot bytes",
+    "scalar oracle bit-for-bit — counters, estimates, reports, and the "
+    "serialized snapshot bytes — for the plain and SIMD-cost builds under "
+    "both replacement policies",
 )
 def _check_kernel_equivalence(
     trace: Trace, config: VerifyConfig
 ) -> List[Violation]:
-    hs_config = _estimation_config(trace, config)
-    scalar = _scalar_feed(HypersistentSketch(hs_config), trace)
-    kernel = _batched_feed(
-        HypersistentSketch(hs_config, engine="kernel"), trace)
-    simd_kernel = _batched_feed(
-        make_hypersistent_simd(hs_config, engine="kernel"), trace)
-    out = []
-    # stats first: queries below move the hash-op counters, and they hit
-    # the scalar sketch once per comparison (twice in total)
-    if scalar.stats() != kernel.stats():
-        out.append(Violation(
-            "kernel-equivalence",
-            "scalar and kernel stats() diverge",
-            details={"scalar": scalar.stats(), "kernel": kernel.stats()},
-        ))
-    # snapshot bytes: the engine is runtime-only, so the serialized state
-    # of a kernel-fed sketch must equal the scalar-fed sketch's byte for
-    # byte (this is the persistence acceptance bar for the backend)
-    if encode_state(scalar.state_dict()) != encode_state(
-            kernel.state_dict()):
-        out.append(Violation(
-            "kernel-equivalence",
-            "scalar and kernel snapshot bytes diverge",
-        ))
+    import dataclasses
+
+    from ..core.config import REPLACE_HASH, REPLACE_RANDOM
+
+    name = "kernel-equivalence"
+    base = _estimation_config(trace, config)
     keys = sample_keys(trace, _EQUIVALENCE_KEY_CAP)
-    out += _diff_keyed("kernel-equivalence", scalar, kernel, keys,
-                       "scalar", "kernel")
-    out += _diff_keyed("kernel-equivalence", scalar, simd_kernel, keys,
-                       "scalar", "simd-kernel")
-    if scalar.report(1) != kernel.report(1):
-        out.append(Violation(
-            "kernel-equivalence",
-            "scalar and kernel report(1) diverge",
-        ))
+    out = []
+    for policy in (REPLACE_HASH, REPLACE_RANDOM):
+        hs_config = dataclasses.replace(base, replacement=policy)
+        kernels = {}
+        for build, make in (("plain", HypersistentSketch),
+                            ("simd", make_hypersistent_simd)):
+            label = f"{build}/{policy}"
+            scalar = _scalar_feed(make(hs_config, engine="scalar"), trace)
+            kernel = _window_feed(make(hs_config, engine="kernel"), trace)
+            kernels[build] = kernel
+            # stats first: queries below move the hash-op counters
+            if scalar.stats() != kernel.stats():
+                out.append(Violation(
+                    name, f"scalar and kernel stats() diverge ({label})",
+                    details={"scalar": scalar.stats(),
+                             "kernel": kernel.stats()},
+                ))
+            # the engine is runtime-only, so a kernel-fed sketch must
+            # serialize byte for byte like the scalar-fed one
+            if encode_state(scalar.state_dict()) != encode_state(
+                    kernel.state_dict()):
+                out.append(Violation(
+                    name,
+                    f"scalar and kernel snapshot bytes diverge ({label})",
+                ))
+            out += _diff_keyed(name, scalar, kernel, keys,
+                               f"scalar-{label}", f"kernel-{label}")
+            if scalar.report(1) != kernel.report(1):
+                out.append(Violation(
+                    name, f"scalar and kernel report(1) diverge ({label})",
+                ))
+        # the SIMD build differs only in its compare-cost model
+        out += _diff_keyed(name, kernels["plain"], kernels["simd"], keys,
+                           f"plain/{policy}", f"simd/{policy}")
     return out
 
 
 @register_invariant(
     "sharded-merge-equivalence", "trace",
-    "Sharded ingestion (scalar, batched, parallel) agrees with itself and "
-    "its report is the disjoint union of the shards' reports",
+    "Sharded ingestion (record-at-a-time and insert_window) agrees with "
+    "itself and its report is the disjoint union of the shards' reports",
 )
 def _check_sharded_equivalence(
     trace: Trace, config: VerifyConfig
@@ -544,16 +518,10 @@ def _check_sharded_equivalence(
         )
 
     scalar = _scalar_feed(build(), trace)
-    batched = build()
-    parallel = build()
-    for window_keys in trace.window_arrays():
-        batched.insert_window(window_keys)
-        parallel.insert_window(window_keys, parallel=True)
+    kernel = _window_feed(build(), trace)
     keys = sample_keys(trace, _EQUIVALENCE_KEY_CAP)
-    out = _diff_keyed("sharded-merge-equivalence", scalar, batched, keys,
-                      "scalar", "batched")
-    out += _diff_keyed("sharded-merge-equivalence", scalar, parallel, keys,
-                       "scalar", "parallel")
+    out = _diff_keyed("sharded-merge-equivalence", scalar, kernel, keys,
+                      "scalar", "kernel")
     merged = scalar.report(1)
     shard_reports = [shard.report(1) for shard in scalar.shards]
     if sum(len(r) for r in shard_reports) != len(merged):
@@ -699,7 +667,7 @@ def _check_checkpoint_resume(
     if trace.n_windows < 2:
         return []
     hs_config = _estimation_config(trace, config)
-    original = _batched_feed(HypersistentSketch(hs_config), trace)
+    original = _window_feed(HypersistentSketch(hs_config), trace)
     partial = HypersistentSketch(hs_config)
     arrays = trace.window_arrays()
     mid = trace.n_windows // 2
@@ -829,7 +797,7 @@ def _check_explain_consistency(
         builds = []
         for label, engine, feed in (
             ("scalar", "scalar", _scalar_feed),
-            ("kernel", "kernel", _batched_feed),
+            ("kernel", "kernel", _window_feed),
         ):
             sketch = HypersistentSketch(hs_config, engine=engine)
             TraceRecorder().attach(sketch)  # events must not skew anything
@@ -995,7 +963,7 @@ def _check_merge_equivalence(
         _estimation_config(trace, config), seed=config.seed
     )
     sketches = [
-        _batched_feed(HypersistentSketch(shared), part)
+        _window_feed(HypersistentSketch(shared), part)
         for part in partition_trace(trace, 3, config.seed)
     ]
     a, b, c = (
@@ -1105,7 +1073,7 @@ def _check_pipeline_crash_recovery(
 @register_invariant(
     "sliding-engine-equivalence", "trace",
     "The sliding wrapper's batch paths (insert_window / insert_batch on "
-    "engines scalar, batched, kernel) match its record-at-a-time oracle "
+    "engines scalar and kernel) match its record-at-a-time oracle "
     "bit-for-bit: snapshot bytes, estimates, and reports",
 )
 def _check_sliding_engine_equivalence(
@@ -1122,8 +1090,8 @@ def _check_sliding_engine_equivalence(
 
     reference = _scalar_feed(build("scalar"), trace)
     candidates = [
-        (f"{engine}-window", _batched_feed(build(engine), trace))
-        for engine in ("scalar", "batched", "kernel")
+        (f"{engine}-window", _window_feed(build(engine), trace))
+        for engine in ("scalar", "kernel")
     ]
     # a split feed exercises insert_batch + end_window (open-window path)
     split = build("kernel")

@@ -1,10 +1,11 @@
-"""Property tests: the columnar batch path is bit-for-bit the scalar path.
+"""Property tests: the batch paths are bit-for-bit the scalar path.
 
 The batch-ingestion pipeline (``insert_batch`` / ``insert_window`` across
-Burst Filter, Cold Filter, Hot Part, and the composed sketch) claims exact
-equivalence with the record-at-a-time loop — identical state, identical
-``query()`` and ``report()`` answers, identical instrumentation counters.
-Hypothesis hunts for windowed streams that break the claim.
+Burst Filter, Cold Filter, Hot Part, and the composed sketch, on the
+default kernel engine) claims exact equivalence with the record-at-a-time
+loop — identical state, identical ``query()`` and ``report()`` answers,
+identical instrumentation counters.  Hypothesis hunts for windowed streams
+that break the claim.
 """
 
 import numpy as np
@@ -14,13 +15,8 @@ from hypothesis import strategies as st
 from repro.core import HSConfig, HypersistentSketch, make_hypersistent_simd
 from repro.core.burst_filter import BurstFilter
 from repro.core.cold_filter import ColdFilter
-from repro.core.columnar import (
-    conflict_free_wave,
-    group_ranks,
-    plan_burst_admission,
-)
 from repro.core.hot_part import HotPart
-from repro.core.simd import VectorizedBurstFilter
+from repro.core.kernels import group_ranks, plan_burst_admission
 from repro.obs import (
     MetricsRegistry,
     bind_sketch,
@@ -78,7 +74,7 @@ class TestSketchEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_registry_counters_identical_across_paths(self, windows):
         # the canonical telemetry view, not just the legacy stats() dict,
-        # must agree between record-at-a-time and columnar ingestion
+        # must agree between record-at-a-time and batch ingestion
         config = HSConfig.for_estimation(2 * 1024, len(windows), seed=9)
         scalar = scalar_feed(HypersistentSketch(config), windows)
         batched = batched_feed(HypersistentSketch(config), windows)
@@ -144,8 +140,8 @@ class TestBurstFilterEquivalence:
     @given(batches=st.lists(batch_strategy, min_size=1, max_size=6))
     @settings(max_examples=80, deadline=None)
     def test_vectorized_insert_batch_matches_scalar(self, batches):
-        scalar = VectorizedBurstFilter(4, 3, seed=7)
-        batched = VectorizedBurstFilter(4, 3, seed=7)
+        scalar = BurstFilter(4, 3, seed=7, compare_model="simd")
+        batched = BurstFilter(4, 3, seed=7, compare_model="simd")
         for batch in batches:
             expected = np.array(
                 [scalar.insert(k) for k in batch], dtype=bool
@@ -163,7 +159,7 @@ class TestBurstFilterEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_vectorized_matches_plain_decisions(self, batch):
         plain = BurstFilter(4, 3, seed=7)
-        vector = VectorizedBurstFilter(4, 3, seed=7)
+        vector = BurstFilter(4, 3, seed=7, compare_model="simd")
         keys = np.array(batch, dtype=np.uint64)
         assert np.array_equal(
             plain.insert_batch(keys), vector.insert_batch(keys)
@@ -222,27 +218,6 @@ class TestColumnarPrimitives:
         for value, rank in zip(groups, ranks.tolist()):
             assert rank == seen.get(value, 0)
             seen[value] = rank + 1
-
-    @given(cells=st.lists(
-        st.tuples(st.integers(min_value=0, max_value=4),
-                  st.integers(min_value=0, max_value=4)),
-        min_size=1, max_size=30,
-    ))
-    @settings(max_examples=80, deadline=None)
-    def test_conflict_free_wave(self, cells):
-        matrix = np.array(cells, dtype=np.int64).T  # (rows=2, n_pending)
-        selected = conflict_free_wave(matrix)
-        assert selected[0]  # earliest pending key always runs -> progress
-        picked = np.flatnonzero(selected)
-        for row in matrix:
-            row_cells = row[picked]
-            # no two selected keys share a cell in any row
-            assert len(set(row_cells.tolist())) == row_cells.size
-        for k in np.flatnonzero(~selected):
-            # every deferred key conflicts with some earlier pending key
-            assert any(
-                row[k] in row[:k].tolist() for row in matrix
-            )
 
     @given(batch=batch_strategy, capacity=st.integers(1, 4))
     @settings(max_examples=80, deadline=None)

@@ -162,7 +162,7 @@ class TestFuzzJobs:
     def test_parallel_campaign_matches_sequential(self, tmp_path,
                                                   capsys):
         args = ["fuzz", "--seed", "3", "--cases", "4", "--quiet",
-                "--invariants", "batch-equivalence",
+                "--invariants", "kernel-equivalence",
                 "--out", str(tmp_path / "f")]
         assert main(args) == 0
         seq = capsys.readouterr().out

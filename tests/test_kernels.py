@@ -1,10 +1,10 @@
 """Property tests for the whole-window SoA kernel backend.
 
-:mod:`repro.core.kernels` claims the same contract the batched path
-already honours — bit-for-bit equivalence with the record-at-a-time
-scalar oracle — but delivers each stage's window update as a handful of
-array ops.  These tests pin the claim per stage (Burst window kernel,
-Cold wave engine, Hot rounds under both replacement policies) and for
+:mod:`repro.core.kernels` claims bit-for-bit equivalence with the
+record-at-a-time scalar oracle while delivering each stage's window
+update as a handful of array ops.  These tests pin the claim per stage
+(Burst window kernel under both compare models, Cold wave engine, Hot
+rounds under both replacement policies) and for
 the composed sketch behind the ``engine`` selector, including the shapes
 the kernels special-case: empty windows, single-key windows, and
 all-duplicate windows.
@@ -27,11 +27,11 @@ from repro.core import (
     ShardedSketch,
     make_hypersistent_simd,
 )
+from repro.core.burst_filter import COMPARE_MODELS, BurstFilter
 from repro.core.cold_filter import ColdFilter
 from repro.core.config import REPLACE_HASH, REPLACE_RANDOM
 from repro.core.hot_part import HotPart
 from repro.core.kernels import ingest_window
-from repro.core.simd import VectorizedBurstFilter
 from repro.persist import encode_state
 
 # Windowed streams biased toward the kernel's edge shapes: some windows
@@ -74,8 +74,13 @@ class TestBurstWindowKernel:
     @given(windows=st.lists(batch_strategy, min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_window_kernel_matches_scalar_replay(self, windows):
-        scalar = VectorizedBurstFilter(4, 3, seed=7)
-        kernel = VectorizedBurstFilter(4, 3, seed=7)
+        for model in COMPARE_MODELS:
+            self._check_window_kernel(windows, model)
+
+    @staticmethod
+    def _check_window_kernel(windows, model):
+        scalar = BurstFilter(4, 3, seed=7, compare_model=model)
+        kernel = BurstFilter(4, 3, seed=7, compare_model=model)
         for items in windows:
             downstream = []
             for key in items:
@@ -95,7 +100,7 @@ class TestBurstWindowKernel:
         assert scalar.compare_ops == kernel.compare_ops
 
     def test_window_kernel_declines_mid_window_state(self):
-        burst = VectorizedBurstFilter(4, 3, seed=7)
+        burst = BurstFilter(4, 3, seed=7)
         burst.insert(5)  # bucket now non-empty: fast path must bail
         assert burst.window_kernel(np.array([5], dtype=np.uint64)) is None
 
@@ -176,10 +181,13 @@ class TestEngineSelector:
         sketch = HypersistentSketch(config)
         with pytest.raises(ConfigError, match="unknown engine"):
             sketch.engine = "turbo"
-        assert set(ENGINES) == {"scalar", "batched", "kernel"}
+        # an engine name earlier versions accepted is now unknown
+        with pytest.raises(ConfigError, match="unknown engine"):
+            sketch.engine = "batched"
+        assert set(ENGINES) == {"scalar", "kernel"}
+        assert sketch.engine == "kernel"
 
-    @given(windows=windows_strategy, engine=st.sampled_from(
-        ["scalar", "batched", "kernel"]))
+    @given(windows=windows_strategy, engine=st.sampled_from(ENGINES))
     @settings(max_examples=40, deadline=None)
     def test_every_engine_matches_scalar_oracle(self, windows, engine):
         config = HSConfig.for_estimation(2 * 1024, len(windows), seed=9)
@@ -196,8 +204,14 @@ class TestEngineSelector:
     def test_simd_build_kernel_engine_matches_oracle(self, windows):
         config = HSConfig.for_estimation(2 * 1024, len(windows), seed=9)
         oracle = scalar_feed(HypersistentSketch(config), windows)
+        simd_oracle = scalar_feed(
+            make_hypersistent_simd(config, engine="scalar"), windows)
         simd = kernel_feed(
             make_hypersistent_simd(config, engine="kernel"), windows)
+        # same SIMD compare-cost accounting and state as its scalar replay
+        assert simd_oracle.stats() == simd.stats()
+        assert encode_state(simd_oracle.state_dict()) == \
+            encode_state(simd.state_dict())
         for key in all_keys(windows):
             assert oracle.query(key) == simd.query(key)
         assert oracle.report(1) == simd.report(1)
@@ -210,12 +224,12 @@ class TestEngineSelector:
         blobs = [encode_state(
             kernel_feed(HypersistentSketch(config, engine=e),
                         windows).state_dict())
-            for e in ("scalar", "batched", "kernel")]
-        assert blobs[0] == blobs[1] == blobs[2]
+            for e in ("scalar", "kernel")]
+        assert blobs[0] == blobs[1]
         restored = HypersistentSketch.from_state(
             kernel_feed(HypersistentSketch(config, engine="kernel"),
                         windows).state_dict())
-        assert restored.engine == "batched"  # runtime-only, not restored
+        assert restored.engine == "kernel"  # runtime-only: the default
         assert encode_state(restored.state_dict()) == blobs[0]
 
     @given(windows=windows_strategy)
@@ -246,14 +260,17 @@ class TestShardedEngine:
     @settings(max_examples=25, deadline=None)
     def test_kernel_engine_matches_default(self, windows):
         default = self._build()
-        kernel = self._build(engine="kernel")
+        assert default.engine == "kernel"
+        scalar = self._build(engine="scalar")
         for items in windows:
             keys = np.array(items, dtype=np.uint64)
             default.insert_window(keys)
-            kernel.insert_window(keys)
+            scalar.insert_window(keys)
+        assert encode_state(default.state_dict()) == \
+            encode_state(scalar.state_dict())
         for key in all_keys(windows):
-            assert default.query(key) == kernel.query(key)
-        assert default.report(1) == kernel.report(1)
+            assert default.query(key) == scalar.query(key)
+        assert default.report(1) == scalar.report(1)
 
     def test_engine_rejects_shards_without_selector(self):
         class Plain:

@@ -435,6 +435,40 @@ class TestRecovery:
         run(main())
         assert run(reopen()) == 5  # the close-time checkpoint
 
+    def test_recovers_spec_stored_with_removed_batched_engine(
+        self, tmp_path, windows
+    ):
+        """Earlier versions stored ``engine: "batched"`` in tenant specs;
+        such a state dir must recover onto the kernel engine and keep
+        answering exactly like an offline kernel sketch."""
+        from repro.persist import save_run_checkpoint
+        from repro.service.service import META_SERVICE_KEY
+
+        spec = flat_spec("old", checkpoint_every=4)
+        stored = dict(TenantSpec.from_dict(spec).to_dict(), engine="batched")
+        partial = offline_flat(windows[:4], spec)
+        save_run_checkpoint(partial, tmp_path / "old.ckpt", 4,
+                            meta={META_SERVICE_KEY: True, "spec": stored})
+        keys = sorted({key for window in windows for key in window})
+
+        async def main():
+            service = SketchService(state_dir=tmp_path)
+            assert await service.start() == ["old"]
+            assert service.tenant_status("old")["spec"]["engine"] == \
+                "kernel"
+            assert service.tenants["old"].sketch.engine == "kernel"
+            for window in windows[4:]:
+                await service.ingest("old", window)
+                await service.end_window("old")
+            estimates = service.estimate("old", keys)["estimates"]
+            await service.close()
+            return estimates
+
+        offline = offline_flat(windows, spec)
+        assert run(main()) == {
+            str(key): offline.query(key) for key in keys
+        }
+
     def test_recovered_sliding_tenant_resumes_batch_path(
         self, tmp_path, windows
     ):

@@ -1,4 +1,4 @@
-"""Unit tests for the SIMD-emulating Burst Filter path."""
+"""Unit tests for the SIMD scan cost model of the Burst Filter."""
 
 import pytest
 
@@ -8,11 +8,15 @@ from repro.core import HSConfig
 from repro.core.burst_filter import BurstFilter
 from repro.core.simd import (
     SIMD_LANES,
-    VectorizedBurstFilter,
     make_hypersistent_simd,
     scalar_scan_cost,
     simd_scan_cost,
 )
+
+
+def simd_filter(*args, **kwargs):
+    """A Burst Filter counting compares under Algorithm 6's model."""
+    return BurstFilter(*args, compare_model="simd", **kwargs)
 
 
 class TestScanCostModel:
@@ -31,12 +35,12 @@ class TestScanCostModel:
 
 
 class TestVectorizedFilterEquivalence:
-    """The vectorized filter must behave exactly like the scalar one."""
+    """The SIMD cost model must not change what the filter decides."""
 
     def _pair(self, n_buckets=8, cells=4, seed=7):
         return (
             BurstFilter(n_buckets, cells, seed=seed),
-            VectorizedBurstFilter(n_buckets, cells, seed=seed),
+            simd_filter(n_buckets, cells, seed=seed),
         )
 
     def test_same_insert_outcomes(self):
@@ -69,7 +73,7 @@ class TestVectorizedFilterEquivalence:
 class TestVectorizedFilterSpecifics:
     def test_compare_ops_reduced_by_lane_count(self):
         scalar = BurstFilter(1, cells_per_bucket=8, seed=1)
-        simd = VectorizedBurstFilter(1, cells_per_bucket=8, seed=1)
+        simd = simd_filter(1, cells_per_bucket=8, seed=1)
         for key in range(8):
             scalar.insert(key)
             simd.insert(key)
@@ -77,34 +81,34 @@ class TestVectorizedFilterSpecifics:
         assert simd.compare_ops < scalar.compare_ops
 
     def test_clear(self):
-        simd = VectorizedBurstFilter(4, 4, seed=2)
+        simd = simd_filter(4, 4, seed=2)
         simd.insert(1)
         simd.clear()
         assert len(simd) == 0 and not simd.contains(1)
 
     def test_reset_stats(self):
-        simd = VectorizedBurstFilter(4, 4, seed=2)
+        simd = simd_filter(4, 4, seed=2)
         simd.insert(1)
         simd.reset_stats()
         assert simd.hash_ops == 0 and simd.compare_ops == 0
 
     def test_load_factor(self):
-        simd = VectorizedBurstFilter(2, 2, seed=2)
+        simd = simd_filter(2, 2, seed=2)
         simd.insert(1)
         assert simd.load_factor == pytest.approx(0.25)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            VectorizedBurstFilter(0)
+            simd_filter(0)
         with pytest.raises(ConfigError):
-            VectorizedBurstFilter(1, cells_per_bucket=0)
+            simd_filter(1, cells_per_bucket=0)
 
 
 class TestSimdSketchFactory:
     def test_factory_swaps_stage1(self):
         config = HSConfig.for_estimation(16 * KB, 50)
         sketch = make_hypersistent_simd(config)
-        assert isinstance(sketch.burst, VectorizedBurstFilter)
+        assert sketch.burst.compare_model == "simd"
 
     def test_simd_sketch_matches_scalar_sketch(self):
         from repro.core import HypersistentSketch

@@ -172,7 +172,7 @@ class TestBatchPaths:
             ref.end_window()
         return encode_state(ref.state_dict())
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "kernel"])
+    @pytest.mark.parametrize("engine", ["scalar", "kernel"])
     def test_insert_window_matches_scalar_oracle(
         self, pattern, reference_bytes, engine
     ):
@@ -184,7 +184,7 @@ class TestBatchPaths:
             sw.insert_window(window)
         assert encode_state(sw.state_dict()) == reference_bytes
 
-    @pytest.mark.parametrize("engine", ["scalar", "batched", "kernel"])
+    @pytest.mark.parametrize("engine", ["scalar", "kernel"])
     def test_split_insert_batch_matches_scalar_oracle(
         self, pattern, reference_bytes, engine
     ):
@@ -232,8 +232,8 @@ class TestBatchPaths:
 
     def test_engine_not_serialized(self):
         sw = SlidingHypersistentSketch(memory_bytes=16 * 1024, horizon=4,
-                                       engine="kernel")
+                                       engine="scalar")
         state = sw.state_dict()
         assert "engine" not in state
         restored = SlidingHypersistentSketch.from_state(state)
-        assert restored.engine == "batched"  # the default, not "kernel"
+        assert restored.engine == "kernel"  # the default, not "scalar"
